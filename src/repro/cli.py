@@ -360,10 +360,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if results[0].degraded:
         print(f"[degraded: {results[0].degraded_reason}]")
     corpus = load_corpus_jsonl(args.directory / _CORPUS_FILE)
-    for rank, result in enumerate(results, start=1):
+    snippets = engine.snippets(args.query, [r.doc_id for r in results])
+    for rank, (result, snippet) in enumerate(zip(results, snippets), start=1):
         title = corpus.get(result.doc_id).title if result.doc_id in corpus else ""
         print(f"{rank}. {result.doc_id}  score={result.score:.3f}  {title}")
-        snippet = engine.snippet(args.query, result.doc_id)
         if snippet.text:
             print(f"   {snippet.text}")
     if args.explain:

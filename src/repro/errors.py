@@ -152,9 +152,11 @@ class OverloadShedError(ServingError):
 class ShardFailedError(ServingError):
     """Raised when a shard cannot serve a request and no fallback applies.
 
-    Scatter-gather *search* never raises this — a failed shard yields a
-    ``partial`` result instead.  Single-shard requests (snippet,
-    document, explain) do raise it when the owning shard's workers are
+    The two scatters behind a ``/search`` reply — ranking and the
+    reply's snippets (``Coordinator.snippets``) — never raise this: a
+    failed shard yields a ``partial`` result instead, its hits' snippets
+    empty.  Single-document requests (``snippet``, ``document_text``,
+    ``explanation``) do raise it when the owning shard's workers are
     unavailable.
     """
 

@@ -9,9 +9,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+_WORD = r"[A-Za-z]+(?:'[A-Za-z]+)?"  # internal apostrophe allowed (don't)
+
+#: Matches exactly the tokens :attr:`Token.is_word` accepts: numbers and
+#: punctuation never consume an ASCII letter, so scanning for words alone
+#: finds the same words at the same offsets as the full token scan.
+WORD_PATTERN = re.compile(_WORD)
+
 _TOKEN_PATTERN = re.compile(
-    r"""
-    [A-Za-z]+(?:'[A-Za-z]+)?   # words, with internal apostrophe (don't)
+    rf"""
+    {_WORD}                    # words
     | \d+(?:[.,]\d+)*          # numbers like 1,000 or 3.14
     | [^\w\s]                  # single punctuation mark
     """,
@@ -54,7 +61,7 @@ def tokenize(text: str) -> list[Token]:
 
 def tokenize_words(text: str, lowercase: bool = True) -> list[str]:
     """Word-only tokenization (drops numbers and punctuation)."""
-    words = [token.text for token in tokenize(text) if token.is_word]
+    words = WORD_PATTERN.findall(text)
     if lowercase:
         words = [word.lower() for word in words]
     return words

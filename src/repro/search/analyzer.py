@@ -7,8 +7,8 @@ removal and (Porter) stemming.
 from __future__ import annotations
 
 from repro.nlp.stemmer import porter_stem
-from repro.nlp.stopwords import is_stopword
-from repro.nlp.tokenizer import tokenize_words
+from repro.nlp.stopwords import STOPWORDS
+from repro.nlp.tokenizer import WORD_PATTERN
 
 
 class Analyzer:
@@ -17,22 +17,33 @@ class Analyzer:
     def __init__(self, remove_stopwords: bool = True, stem: bool = True) -> None:
         self._remove_stopwords = remove_stopwords
         self._stem = stem
-        self._stem_cache: dict[str, str] = {}
+        # surface word -> index term, None for a dropped stopword
+        self._terms: dict[str, str | None] = {}
 
     def analyze(self, text: str) -> list[str]:
         """Analyze ``text`` into index terms."""
-        terms = []
-        for word in tokenize_words(text, lowercase=True):
-            if self._remove_stopwords and is_stopword(word):
-                continue
-            if self._stem:
-                word = self._cached_stem(word)
-            terms.append(word)
-        return terms
+        return [term for term, _, _ in self.spans(text)]
 
-    def _cached_stem(self, word: str) -> str:
-        stemmed = self._stem_cache.get(word)
-        if stemmed is None:
-            stemmed = porter_stem(word)
-            self._stem_cache[word] = stemmed
-        return stemmed
+    def spans(self, text: str) -> list[tuple[str, int, int]]:
+        """``(term, start, end)`` of every kept word of ``text``, in order.
+
+        The one scan behind :meth:`analyze`, so whatever locates a term
+        in the source (snippet highlighting) sees exactly the index terms.
+        """
+        terms = self._terms
+        spans = []
+        for match in WORD_PATTERN.finditer(text):
+            word = match.group()
+            term = terms[word] if word in terms else self._term(word)
+            if term is not None:
+                spans.append((term, match.start(), match.end()))
+        return spans
+
+    def _term(self, word: str) -> str | None:
+        term: str | None = word.lower()
+        if self._remove_stopwords and term in STOPWORDS:
+            term = None
+        elif self._stem:
+            term = porter_stem(term)
+        self._terms[word] = term
+        return term

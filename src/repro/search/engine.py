@@ -1105,15 +1105,25 @@ class NewsLinkEngine:
 
     def snippet(self, query_text: str, doc_id: str) -> "Snippet":
         """A query-biased, highlighted snippet of an indexed document."""
+        return self.snippets(query_text, [doc_id])[0]
+
+    def snippets(
+        self, query_text: str, doc_ids: Sequence[str]
+    ) -> "list[Snippet]":
+        """One snippet per entry of ``doc_ids``, in order (a reply's
+        hits): the query is analyzed once for all of them."""
         if self._snippet_generator is None:
             from repro.search.snippets import SnippetGenerator
 
             self._snippet_generator = SnippetGenerator(
                 self._analyzer, self._text_scorer
             )
-        return self._snippet_generator.generate(
-            self.document_text(doc_id), query_text
-        )
+        generator = self._snippet_generator
+        query_terms = generator.query_terms(query_text)
+        return [
+            generator.extract(self.document_text(doc_id), query_terms)
+            for doc_id in doc_ids
+        ]
 
     def save_index(self, path: "str | Path", format: str | None = None) -> None:
         """Persist both inverted indexes and all document embeddings.

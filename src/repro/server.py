@@ -6,8 +6,8 @@ engine the corresponding service surface using only the standard library:
 
 * ``GET /health``                         — liveness, index size, degradation counters
 * ``GET /search?q=...&k=5&beta=0.2``      — ranked results with snippets
-  (``deadline_ms=50`` bounds the query; expired queries come back
-  ``degraded`` instead of failing).  Personalization rides along:
+  (``k`` between 1 and :data:`MAX_K`; ``deadline_ms=50`` bounds the
+  query; expired queries come back ``degraded`` instead of failing).  Personalization rides along:
   ``session=<id>`` re-anchors the query on the conversation so far and
   advances the session; ``user=<id>`` blends the user's click-history
   profile (single-engine serving only); ``gamma=`` overrides the
@@ -90,6 +90,11 @@ REQUEST_TIMEOUT_S = 30.0
 #: context, weak enough that the query's own two channels still dominate.
 DEFAULT_GAMMA = 0.35
 
+#: Largest ``k`` ``/search`` accepts.  Every hit costs a snippet
+#: extraction under the engine lock, so an unbounded ``k`` would let one
+#: request walk the whole corpus.
+MAX_K = 100
+
 
 def _is_coordinator(target: object) -> bool:
     """Duck-typed: a sharded coordinator (vs a single engine)."""
@@ -101,6 +106,8 @@ def _search_payload(target, params: dict, personalization) -> dict:
     if not query:
         raise _BadRequest("missing required parameter: q")
     k = int(params.get("k", ["10"])[0])
+    if not 1 <= k <= MAX_K:
+        raise _BadRequest(f"k must be between 1 and {MAX_K}")
     beta_values = params.get("beta")
     beta = float(beta_values[0]) if beta_values else None
     deadline_values = params.get("deadline_ms")
@@ -142,8 +149,13 @@ def _search_payload(target, params: dict, personalization) -> dict:
             advance_session=session is not None,
         )
         results = outcome.results
-        partial = outcome.partial
-        failed_shards = outcome.failed_shards
+        # A shard lost while extracting costs its hits their snippets,
+        # not the client the ranked reply.
+        snippets, lost = target.snippets_detailed(
+            query, [result.doc_id for result in results]
+        )
+        failed_shards = tuple(sorted({*outcome.failed_shards, *lost}))
+        partial = bool(failed_shards)
     else:
         results = target.search(
             query,
@@ -155,10 +167,12 @@ def _search_payload(target, params: dict, personalization) -> dict:
             gamma=gamma,
             advance_session=session is not None,
         )
+        snippets = target.snippets(
+            query, [result.doc_id for result in results]
+        )
     degraded = bool(results) and results[0].degraded
     payload = []
-    for rank, result in enumerate(results, start=1):
-        snippet = target.snippet(query, result.doc_id)
+    for rank, (result, snippet) in enumerate(zip(results, snippets), start=1):
         payload.append(
             {
                 "rank": rank,
@@ -556,8 +570,8 @@ def make_handler(
                 )
                 return
             except ShardFailedError as exc:
-                # A routed single-shard request (snippet/document/
-                # explain) lost its shard: temporarily unavailable.
+                # A routed single-document request (document/explain)
+                # lost its shard: temporarily unavailable.
                 self._reply(
                     503, {"error": str(exc), "shard": exc.shard_id}
                 )

@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.config import ServingConfig
 from repro.core.serialization import embedding_to_dict
@@ -55,6 +55,7 @@ from repro.obs.instruments import ServingInstruments
 from repro.obs.metrics import Snapshot, merge_snapshots
 from repro.search.bon import bon_terms
 from repro.search.engine import SearchResult
+from repro.search.snippets import Snippet
 from repro.serving.admission import AdmissionController
 from repro.serving.planner import ShardPlan, ShardPlanner
 from repro.serving.shard import InlineShardGroup, ProcessShardGroup
@@ -64,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.presentation import Explanation
     from repro.search.engine import NewsLinkEngine
     from repro.search.pruned import QueryStats
-    from repro.search.snippets import Snippet
 
 
 @dataclass
@@ -74,7 +74,8 @@ class ServingStats:
     Attributes:
         queries: logical queries admitted and answered.
         degraded_queries: answered text-only (deadline expired in NE).
-        partial_queries: answered with >= 1 shard missing.
+        partial_queries: answered with >= 1 shard missing, in the
+            ranking scatter or in the snippet scatter.
         shed_queries: rejected by admission control (never ranked).
     """
 
@@ -406,13 +407,62 @@ class Coordinator:
             raise DocumentNotIndexedError(doc_id)
         return shard_id
 
-    def snippet(self, query_text: str, doc_id: str) -> "Snippet":
+    def snippet(self, query_text: str, doc_id: str) -> Snippet:
         """A query-biased snippet, generated on the owning shard."""
         return self._group.request(
             self._shard_of(doc_id),
-            "snippet",
-            {"query": query_text, "doc_id": doc_id},
+            "snippets",
+            {"query": query_text, "doc_ids": [doc_id]},
             self._config.gather_timeout_ms,
+        )[0]
+
+    def snippets(
+        self, query_text: str, doc_ids: Sequence[str]
+    ) -> list[Snippet]:
+        """One snippet per entry of ``doc_ids``, in order (drops the
+        completeness flag; see :meth:`snippets_detailed`)."""
+        return self.snippets_detailed(query_text, doc_ids)[0]
+
+    def snippets_detailed(
+        self, query_text: str, doc_ids: Sequence[str]
+    ) -> tuple[list[Snippet], tuple[int, ...]]:
+        """A reply's snippets in **one** scatter, plus the shards lost.
+
+        The hits are grouped by owning shard and every shard extracts
+        its own in parallel.  A shard that fails or misses the gather
+        budget is reported in the second element and its hits get the
+        empty snippet — the ranking scatter's ``partial`` contract, not
+        a :class:`~repro.errors.ShardFailedError`: the ranked reply is
+        still worth sending.
+        """
+        owned: list[list[str]] = [[] for _ in range(self._plan.num_shards)]
+        for doc_id in doc_ids:
+            owned[self._shard_of(doc_id)].append(doc_id)
+        if not doc_ids:
+            return [], ()
+        replies = self._group.scatter(
+            "snippets",
+            [
+                {"query": query_text, "doc_ids": ids} if ids else None
+                for ids in owned
+            ],
+            timeout_ms=self._config.gather_timeout_ms,
+        )
+        extracted: dict[str, Snippet] = {}
+        failed = []
+        for ids, reply in zip(owned, replies):
+            if reply.ok:
+                extracted.update(zip(ids, reply.value))
+            elif ids:
+                failed.append(reply.shard_id)
+        if failed:
+            self._serving_stats.partial_queries += 1
+            if self._obs.enabled:
+                self._obs.requests.inc(outcome="partial")
+        blank = Snippet(text="", start=0, end=0, score=0.0)
+        return (
+            [extracted.get(doc_id, blank) for doc_id in doc_ids],
+            tuple(failed),
         )
 
     def document_text(self, doc_id: str) -> str:

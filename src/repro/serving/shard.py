@@ -17,12 +17,12 @@ Failure model
 -------------
 A worker that dies (EOF on the pipe) or stalls (no reply within the
 gather budget) is marked dead, its process terminated, and — by default
-— a fresh worker is forked into the pool.  Scatter-gather *search*
-reports the affected shard as failed and carries on with the remaining
-shards (a partial result, flagged, never a hang); single-shard requests
-raise :class:`~repro.errors.ShardFailedError`.  A killed worker's
-accumulated counters die with it; the scrape-time stats fold only sums
-the workers that are alive to answer (documented in
+— a fresh worker is forked into the pool.  A *scatter* (ranking, a
+reply's snippets) reports the affected shard as failed and carries on
+with the remaining shards (a partial result, flagged, never a hang);
+single-shard requests raise :class:`~repro.errors.ShardFailedError`.  A
+killed worker's accumulated counters die with it; the scrape-time stats
+fold only sums the workers that are alive to answer (documented in
 ``docs/serving.md``).
 
 :class:`InlineShardGroup` implements the identical interface with plain
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Request kinds a shard worker understands.
 REQUEST_KINDS = frozenset(
-    {"search", "snippet", "document", "explain", "stats", "ping", "shutdown"}
+    {"search", "snippets", "document", "explain", "stats", "ping", "shutdown"}
 )
 
 #: How long ``close()`` waits for a worker to exit after "shutdown"
@@ -84,8 +84,8 @@ def _handle_request(engine: "NewsLinkEngine", kind: str, payload: dict) -> Any:
             profile_terms=payload.get("profile"),
             gamma=payload.get("gamma"),
         )
-    if kind == "snippet":
-        return engine.snippet(payload["query"], payload["doc_id"])
+    if kind == "snippets":
+        return engine.snippets(payload["query"], payload["doc_ids"])
     if kind == "document":
         return engine.document_text(payload["doc_id"])
     if kind == "explain":

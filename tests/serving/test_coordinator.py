@@ -79,14 +79,41 @@ class TestRouting:
             inline_coordinator.document_text(doc_id)
             == oracle.engine.document_text(doc_id)
         )
-        assert (
-            inline_coordinator.snippet(query, doc_id).text
-            == oracle.engine.snippet(query, doc_id).text
-        )
+        assert inline_coordinator.snippet(
+            query, doc_id
+        ) == oracle.engine.snippet(query, doc_id)
         assert (
             inline_coordinator.explanation(query, doc_id).lines()
             == oracle.engine.explanation(query, doc_id).lines()
         )
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_snippets_match_oracle_in_one_scatter(
+        self, oracle, transport, num_shards
+    ):
+        query = oracle.queries[0]
+        doc_ids = [hit.doc_id for hit in oracle.engine.search(query, k=10)]
+        doc_ids += doc_ids[:2]  # duplicates allowed, order kept
+        want = oracle.engine.snippets(query, doc_ids)
+        with Coordinator.build(
+            oracle.engine,
+            ServingConfig(num_shards=num_shards, transport=transport),
+        ) as coordinator:
+            scatters = []
+            scatter = coordinator.shard_group.scatter
+            coordinator.shard_group.scatter = lambda kind, *args, **kwargs: (
+                scatters.append(kind) or scatter(kind, *args, **kwargs)
+            )
+            assert coordinator.snippets(query, doc_ids) == want
+            assert coordinator.snippets_detailed(query, doc_ids) == (want, ())
+            assert scatters == ["snippets", "snippets"]
+            assert coordinator.snippets(query, []) == []
+            with pytest.raises(DocumentNotIndexedError):
+                coordinator.snippets(query, [doc_ids[0], "no-such-doc"])
+            assert coordinator.snippet(query, doc_ids[0]) == want[0]
+            assert scatters == ["snippets", "snippets"]
+            assert coordinator.serving_stats.partial_queries == 0
 
     def test_unknown_document_raises_not_indexed(self, inline_coordinator):
         with pytest.raises(DocumentNotIndexedError):

@@ -14,6 +14,7 @@ import signal
 import pytest
 
 from repro.config import ServingConfig
+from repro.errors import ShardFailedError
 from repro.reliability import faults
 from repro.serving import Coordinator
 
@@ -113,5 +114,38 @@ class TestWorkerException:
             assert [
                 (r.doc_id, r.score) for r in outcome.results
             ] == [(r.doc_id, r.score) for r in want]
+        finally:
+            coordinator.close()
+
+
+class TestSnippetStage:
+    def test_lost_shard_blanks_its_hits_single_form_still_raises(self, oracle):
+        coordinator = build(oracle)
+        try:
+            query = oracle.queries[0]
+            doc_ids = [hit.doc_id for hit in coordinator.search(query, k=10)]
+            want = oracle.engine.snippets(query, doc_ids)
+            owners = [coordinator.plan.assignments[d] for d in doc_ids]
+            assert set(owners) == {0, 1}
+
+            def kill_shard_0():
+                victim = coordinator.shard_group._all[0][-1]
+                os.kill(victim.process.pid, signal.SIGKILL)
+                victim.process.join(timeout=5.0)
+
+            kill_shard_0()
+            got, lost = coordinator.snippets_detailed(query, doc_ids)
+            assert lost == (0,)
+            for owner, snippet, expected in zip(owners, got, want):
+                assert snippet == expected if owner == 1 else snippet.text == ""
+            assert coordinator.serving_stats.partial_queries == 1
+
+            # The shard respawned: the next reply's snippets are whole.
+            assert coordinator.snippets_detailed(query, doc_ids) == (want, ())
+
+            # The one-document form has no partial answer to give.
+            kill_shard_0()
+            with pytest.raises(ShardFailedError):
+                coordinator.snippet(query, doc_ids[owners.index(0)])
         finally:
             coordinator.close()

@@ -23,7 +23,7 @@ from repro.obs import PROMETHEUS_CONTENT_TYPE, validate_prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import faults
 from repro.search.engine import NewsLinkEngine
-from repro.server import make_server, shutdown_gracefully
+from repro.server import MAX_K, make_server, shutdown_gracefully
 from repro.serving import Coordinator
 
 
@@ -99,6 +99,17 @@ class TestSearch:
     def test_bad_k(self, server_url):
         status, _ = get_json(f"{server_url}/search?q=x&k=notanumber")
         assert status == 400
+
+    def test_k_is_bounded(self, server_url):
+        # Every hit costs a snippet extraction: k must not be able to
+        # ask for the whole corpus.
+        for k in (0, -3, MAX_K + 1, 100000):
+            status, body = get_json(f"{server_url}/search?q=Taliban&k={k}")
+            assert status == 400
+            assert str(MAX_K) in body["error"]
+        status, body = get_json(f"{server_url}/search?q=Taliban&k={MAX_K}")
+        assert status == 200
+        assert body["k"] == MAX_K
 
 
 class TestExplain:
@@ -460,6 +471,43 @@ class TestCoordinatorEndpoints:
         want = engine.search("Taliban in Pakistan", k=2)
         got = [(r["doc_id"], r["score"]) for r in body["results"]]
         assert got == [(r.doc_id, r.score) for r in want]
+
+    def test_shard_lost_in_snippet_stage_is_partial_not_503(
+        self, coordinator_server
+    ):
+        url, coordinator, engine = coordinator_server
+        # Inline shards fire the point once per shard request: hits 1-2
+        # are the ranking scatter, hit 3 is shard 0's snippet request.
+        faults.arm(
+            "serving.worker_request",
+            exception=RuntimeError("injected snippet failure"),
+            nth=3,
+            times=1,
+        )
+        try:
+            status, body = get_json(f"{url}/search?q=Taliban+in+Pakistan&k=2")
+        finally:
+            faults.reset()
+        assert status == 200
+        assert body["partial"] is True
+        assert body["failed_shards"] == [0]
+        want = engine.search("Taliban in Pakistan", k=2)
+        got = [(r["doc_id"], r["score"]) for r in body["results"]]
+        assert got == [(r.doc_id, r.score) for r in want]
+        owners = {r["doc_id"]: coordinator.plan.shard_of(r["doc_id"])
+                  for r in body["results"]}
+        assert sorted(owners.values()) == [0, 1]
+        for result in body["results"]:
+            if owners[result["doc_id"]] == 0:
+                assert result["snippet"] == ""
+            else:
+                assert "**Taliban**" in result["snippet"]
+        # The next request is whole again.
+        status, body = get_json(f"{url}/search?q=Taliban+in+Pakistan&k=2")
+        assert status == 200
+        assert body["partial"] is False
+        assert "failed_shards" not in body
+        assert all("**Taliban**" in r["snippet"] for r in body["results"])
 
     def test_document_and_explain_route_to_the_owning_shard(
         self, coordinator_server
